@@ -3,19 +3,18 @@
 //! A [`Ctx`] is what a QSM program sees: its processor id, typed
 //! shared-array registration, `put`/`get` enqueueing, a local window
 //! into block-distributed arrays, explicit local-operation charging,
-//! and `sync()`. One `Ctx` lives on each worker thread. On the
-//! simulated backend all communication with the machine's driver
-//! travels over channels, so that path contains no locks and no
-//! `unsafe`; the threads backend instead rendezvouses through the
+//! and `sync()`. One `Ctx` lives on each worker thread; on every
+//! backend, `sync()` rendezvouses with the other workers through the
 //! lock-free SPMD exchange area in `crate::spmd`.
 //!
 //! ### Bulk-synchrony enforcement
 //!
 //! * A [`GetTicket`] issued in phase *k* can only be redeemed in a
 //!   phase strictly later than *k* ([`Ctx::take`] panics otherwise).
-//! * The driver checks that no shared location is both read and
-//!   written in the same phase and panics with a diagnostic if an
-//!   algorithm violates the rule (the QSM phase contract).
+//! * The phase leader's plan stage checks that no shared location is
+//!   both read and written in the same phase and panics with a
+//!   diagnostic if an algorithm violates the rule (the QSM phase
+//!   contract).
 //!
 //! ### Cost charging
 //!
@@ -29,24 +28,24 @@
 //! ### The allocation-free hot path
 //!
 //! Steady-state phases allocate nothing on the worker side: put
-//! payload buffers come from a per-processor raw-word pool (refilled
-//! by redeemed get results and the driver's hand-backs), the op and
-//! registration containers round-trip to the driver and come back
-//! drained, and get results live in a dense ticket-indexed
-//! `TicketTable` instead of a hash map.
+//! payloads are packed into one word buffer per phase, the op
+//! containers alternate between the worker and its two double-buffered
+//! exchange slots (keeping their capacity), get-result buffers come
+//! from a per-processor raw-word pool refilled by redeemed results,
+//! and results live in a dense ticket-indexed `TicketTable` instead of
+//! a hash map.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
 
-use crossbeam::channel::{Receiver, Sender};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::addr::{block_range, ArrayId, Layout};
-use crate::driver::{DriverReply, SyncPayload, WorkerMsg};
-use crate::ops::{GetOp, GetTicket, PutOp, QueuedOps};
-use crate::shmem::{ArrayInfo, LocalStore, Registration, SharedArray};
+use crate::ops::{GetOp, GetTicket, QueuedOps};
+use crate::shmem::{LocalStore, Registration, SharedArray};
+use crate::spmd::{SpmdLink, SpmdObs};
 use crate::word::Word;
 
 /// Upper bound on pooled raw-word buffers kept per processor, so a
@@ -110,22 +109,6 @@ impl TicketTable {
     }
 }
 
-/// How a [`Ctx`] reaches the rest of the machine at `sync()`.
-pub(crate) enum Runtime {
-    /// Channel rendezvous with a dedicated driver thread (the
-    /// simulated backend).
-    Channel {
-        tx: Sender<WorkerMsg>,
-        rx: Receiver<DriverReply>,
-        /// Drained result container handed back by the driver,
-        /// shipped with the next payload so replies never allocate.
-        spare_results: Vec<(u64, Vec<u64>)>,
-    },
-    /// Lock-free SPMD rendezvous through a shared exchange area (the
-    /// threads backend; see `crate::spmd`).
-    Spmd(crate::spmd::SpmdLink),
-}
-
 /// The per-processor execution context handed to QSM programs.
 pub struct Ctx {
     pub(crate) proc: usize,
@@ -139,19 +122,20 @@ pub struct Ctx {
     pub(crate) pending_regs: Vec<Registration>,
     pub(crate) pending_unregs: Vec<ArrayId>,
     pub(crate) tickets: TicketTable,
-    /// Recycled raw-word buffers: redeemed get results and drained
-    /// put payloads feed later puts, so steady-state phases allocate
-    /// nothing here.
+    /// Recycled raw-word buffers: redeemed get results become later
+    /// get results, so steady-state phases allocate nothing here.
     pub(crate) raw_pool: Vec<Vec<u64>>,
     rng: SmallRng,
-    pub(crate) runtime: Runtime,
-    /// Per-worker span capture for the SPMD path; `None` (the
-    /// default, and always on the channel path) means no capture.
-    pub(crate) spmd_obs: Option<Box<crate::spmd::SpmdObs>>,
+    /// This run's exchange area.
+    pub(crate) link: SpmdLink,
+    /// Per-worker span capture; `None` (the default) means no capture.
+    pub(crate) spmd_obs: Option<Box<SpmdObs>>,
 }
 
 impl Ctx {
-    fn with_runtime(proc: usize, nprocs: usize, seed: u64, runtime: Runtime) -> Self {
+    /// The context of processor `proc` of an `nprocs`-processor run
+    /// rendezvousing through `link`.
+    pub(crate) fn new(proc: usize, nprocs: usize, seed: u64, link: SpmdLink) -> Self {
         Self {
             proc,
             nprocs,
@@ -166,35 +150,9 @@ impl Ctx {
             tickets: TicketTable::default(),
             raw_pool: Vec::new(),
             rng: SmallRng::seed_from_u64(seed ^ (proc as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            runtime,
+            link,
             spmd_obs: None,
         }
-    }
-
-    /// A context on the channel path (driver-thread rendezvous).
-    pub(crate) fn new(
-        proc: usize,
-        nprocs: usize,
-        seed: u64,
-        tx: Sender<WorkerMsg>,
-        rx: Receiver<DriverReply>,
-    ) -> Self {
-        Self::with_runtime(
-            proc,
-            nprocs,
-            seed,
-            Runtime::Channel { tx, rx, spare_results: Vec::new() },
-        )
-    }
-
-    /// A context on the SPMD path (lock-free exchange-area rendezvous).
-    pub(crate) fn new_spmd(
-        proc: usize,
-        nprocs: usize,
-        seed: u64,
-        link: crate::spmd::SpmdLink,
-    ) -> Self {
-        Self::with_runtime(proc, nprocs, seed, Runtime::Spmd(link))
     }
 
     /// This processor's id in `0..nprocs()`.
@@ -264,11 +222,7 @@ impl Ctx {
             info.name,
             info.len
         );
-        let mut raw = self.raw_pool.pop().unwrap_or_default();
-        raw.clear();
-        raw.reserve(data.len());
-        raw.extend(data.iter().map(|v| v.to_raw()));
-        self.queued.puts.push(PutOp { array: arr.id, start, data: raw });
+        self.queued.push_put(arr.id, start, data.iter().map(|v| v.to_raw()));
     }
 
     /// Queue a read of `len` elements starting at global index
@@ -316,7 +270,7 @@ impl Ctx {
 
     /// Return a raw-word buffer to the per-processor pool (bounded by
     /// [`RAW_POOL_CAP`], so bursts cannot pin unbounded memory).
-    pub(crate) fn recycle_raw(&mut self, mut buf: Vec<u64>) {
+    fn recycle_raw(&mut self, mut buf: Vec<u64>) {
         if self.raw_pool.len() < RAW_POOL_CAP {
             buf.clear();
             self.raw_pool.push(buf);
@@ -380,87 +334,10 @@ impl Ctx {
         }
     }
 
-    /// Mirror the driver's phase-end bookkeeping locally: ids were
-    /// assigned in registration order starting from our own counter,
-    /// and the (drained) registration containers are kept for reuse.
-    pub(crate) fn apply_reg_mirror(
-        &mut self,
-        mut regs_back: Vec<Registration>,
-        mut unregs_back: Vec<ArrayId>,
-    ) {
-        let first_new = self.next_array_id - regs_back.len() as u32;
-        for (k, reg) in regs_back.drain(..).enumerate() {
-            let id = ArrayId(first_new + k as u32);
-            // The segment itself arrived positionally (reply segments
-            // on the channel path; installed in-place on SPMD).
-            self.store.set_info(ArrayInfo {
-                id,
-                name: reg.name,
-                len: reg.len,
-                elem_bytes: reg.elem_bytes,
-                layout: reg.layout,
-            });
-        }
-        for id in unregs_back.drain(..) {
-            self.store.remove(id);
-        }
-        self.pending_regs = regs_back;
-        self.pending_unregs = unregs_back;
-    }
-
     /// End the phase: exchange all queued operations, complete
     /// pending registrations, and synchronize with every other
     /// processor. Returns once the barrier releases this processor.
     pub fn sync(&mut self) {
-        if matches!(self.runtime, Runtime::Spmd(_)) {
-            crate::spmd::sync_phase(self);
-        } else {
-            self.sync_channel();
-        }
-    }
-
-    /// The channel-path `sync()`: rendezvous with the driver thread.
-    fn sync_channel(&mut self) {
-        let Runtime::Channel { tx, rx, spare_results } = &mut self.runtime else {
-            unreachable!("sync_channel on an SPMD context");
-        };
-        let payload = SyncPayload {
-            proc: self.proc,
-            charged: std::mem::take(&mut self.charged),
-            ops: self.queued.take(),
-            regs: std::mem::take(&mut self.pending_regs),
-            unregs: std::mem::take(&mut self.pending_unregs),
-            segments: std::mem::take(&mut self.store.segments),
-            spare_results: std::mem::take(spare_results),
-            // Captured last, just before the send: wall-clock
-            // backends read this as "compute for the phase ended
-            // here" (the price stage's compute/comm split).
-            arrived: std::time::Instant::now(),
-        };
-        tx.send(WorkerMsg::Sync(payload)).expect("driver hung up");
-        let reply = rx.recv().expect("driver hung up");
-        self.store.segments = reply.segments;
-        let mut results = reply.results;
-        for (ticket, data) in results.drain(..) {
-            self.tickets.fulfill(ticket, data);
-        }
-        *spare_results = results;
-        // The worker's own op containers come back drained; the put
-        // buffers themselves were reclaimed into the driver's pool.
-        self.queued = reply.recycle;
-        self.apply_reg_mirror(reply.regs_back, reply.unregs_back);
-        self.phase += 1;
-    }
-
-    /// Tear down: report this processor's final output to the driver.
-    pub(crate) fn finish(self) {
-        match &self.runtime {
-            Runtime::Channel { tx, .. } => {
-                tx.send(WorkerMsg::Finished { proc: self.proc }).expect("driver hung up");
-            }
-            // The SPMD engine runs its own finish rendezvous
-            // (`crate::spmd::epilogue`) before the context drops.
-            Runtime::Spmd(_) => unreachable!("finish() on an SPMD context"),
-        }
+        crate::spmd::sync_phase(self);
     }
 }

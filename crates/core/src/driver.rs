@@ -1,128 +1,73 @@
-//! The machine driver: rendezvous point of every `sync()`.
+//! The phase leader's stages: metering, pricing and recording.
 //!
-//! Worker threads run the user program; at each `sync()` they ship
-//! their queued operations *and their memory segments* to the driver,
-//! which then has exclusive ownership of the entire global memory.
-//! Each rendezvous runs the same four-stage pipeline on every
-//! backend:
+//! Every `sync()` runs the same four-stage pipeline on every backend:
 //!
 //! 1. **plan** — validate collective calls, assign array ids, and
 //!    meter the phase: build the [`CommMatrix`], per-processor
-//!    counters, and the κ contention sweep.
-//! 2. **exchange** — take ownership of the memory, serve gets (from
-//!    the pre-put state), and apply puts (deterministically:
-//!    processor order, then issue order).
+//!    counters, and the κ contention sweep; and index every put by
+//!    the processors whose blocks it writes ([`PutRoutes`]).
+//! 2. **exchange** — serve gets (from the pre-put state), and apply
+//!    puts (deterministically: processor order, then issue order).
 //! 3. **price** — ask the backend's [`PhaseTimer`] what the phase
 //!    cost on the simulated (or real) machine.
 //! 4. **record** — emit observability spans/metrics and assemble the
 //!    [`PhaseRecord`] for the cost models.
 //!
-//! Afterwards the segments are handed back to the workers. On the
-//! channel path (the simulated backend), ownership transfer through
-//! channels *is* the synchronization and the pipeline runs on a
-//! dedicated driver thread. The SPMD threads engine (`crate::spmd`)
-//! reuses the exact same plan/price/record stages — generically over
-//! [`PhaseInput`] — but runs them inline on worker 0 against a
-//! lock-free exchange area, so both execution paths meter and price
-//! phases with literally the same code.
+//! The [`Driver`] owns the state of stages 1, 3 and 4. Worker 0 of
+//! the SPMD engine (`crate::spmd`) runs them inline as the phase
+//! leader over the workers' published slots; the exchange itself is
+//! distributed — each worker serves its own gets and applies the puts
+//! routed to its own block.
 
 use std::time::Instant;
 
-use crossbeam::channel::{Receiver, Sender};
 use qsm_models::PhaseProfile;
 use qsm_obs::{Recorder, SpanKind};
 use qsm_simnet::Cycles;
 
-use crate::addr::{for_each_owner_run, ArrayId, Layout};
+use crate::addr::{block_owner, for_each_owner_run, ArrayId};
 use crate::machine::PhaseTimer;
-use crate::ops::QueuedOps;
-use crate::shmem::{ArrayInfo, Registration, Segment};
+use crate::shmem::ArrayInfo;
+use crate::spmd::Slot;
 
-/// Worker-to-driver messages.
-pub(crate) enum WorkerMsg {
-    /// A processor reached `sync()`.
-    Sync(SyncPayload),
-    /// A processor's program returned.
-    Finished {
-        /// Which processor (kept for diagnostics in panic paths).
-        #[allow(dead_code)]
-        proc: usize,
-    },
-    /// A processor's program panicked; the payload is re-raised on
-    /// the caller's thread so the original message survives.
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
-/// Everything a processor ships at `sync()`.
+/// Per-destination index of one phase's puts, built by the plan
+/// stage so each worker visits only the puts that land in its own
+/// block (instead of scanning every processor's puts).
 ///
-/// `segments` is dense, indexed by `ArrayId.0` (ids are assigned
-/// sequentially); arrays not live on this processor hold an empty
-/// `Vec`. The container round-trips driver → worker → driver every
-/// phase, so in steady state no segment table is ever reallocated.
-pub(crate) struct SyncPayload {
-    pub proc: usize,
-    pub charged: u64,
-    /// Host instant at which the processor entered `sync()` —
-    /// wall-clock backends use it to split compute from
-    /// communication (the price stage).
-    pub arrived: Instant,
-    pub ops: QueuedOps,
-    pub regs: Vec<Registration>,
-    pub unregs: Vec<ArrayId>,
-    pub segments: Vec<Segment>,
-    /// Last phase's (drained) result container, returned so the
-    /// driver can build this phase's reply without allocating.
-    pub spare_results: Vec<(u64, Vec<u64>)>,
+/// Puts are numbered by a phase-global ordinal in processor-then-issue
+/// order; `first[src]` is processor `src`'s first ordinal. Each
+/// destination's list holds ascending ordinals, so walking it visits
+/// its puts in exactly the deterministic apply order. A put spanning
+/// several owners' blocks appears in each of their lists.
+#[derive(Default)]
+pub(crate) struct PutRoutes {
+    /// `first[src]..first[src + 1]` are processor `src`'s ordinals.
+    first: Vec<u32>,
+    /// `to[dst]`: ordinals of the puts writing into `dst`'s block.
+    to: Vec<Vec<u32>>,
 }
 
-/// One processor's contribution to a phase, as the plan and price
-/// stages consume it. Implemented by [`SyncPayload`] (channel path)
-/// and by the SPMD exchange area's slot views, so the metering and
-/// pricing code is written exactly once. The slice of inputs handed
-/// to a stage is always indexed by processor id.
-pub(crate) trait PhaseInput {
-    fn charged(&self) -> u64;
-    fn arrived(&self) -> Instant;
-    fn ops(&self) -> &QueuedOps;
-    fn regs(&self) -> &[Registration];
-    fn unregs(&self) -> &[ArrayId];
-}
+impl PutRoutes {
+    /// Forget the previous phase's index (keeping its capacity).
+    fn clear(&mut self, p: usize) {
+        self.first.clear();
+        self.to.resize_with(p, Vec::new);
+        for list in &mut self.to {
+            list.clear();
+        }
+    }
 
-impl PhaseInput for SyncPayload {
-    fn charged(&self) -> u64 {
-        self.charged
+    /// Visit `(src, issue index)` of every put routed to `dst`, in
+    /// processor-then-issue order.
+    pub(crate) fn for_each(&self, dst: usize, mut visit: impl FnMut(usize, usize)) {
+        let mut src = 0;
+        for &ord in &self.to[dst] {
+            while ord >= self.first[src + 1] {
+                src += 1;
+            }
+            visit(src, (ord - self.first[src]) as usize);
+        }
     }
-    fn arrived(&self) -> Instant {
-        self.arrived
-    }
-    fn ops(&self) -> &QueuedOps {
-        &self.ops
-    }
-    fn regs(&self) -> &[Registration] {
-        &self.regs
-    }
-    fn unregs(&self) -> &[ArrayId] {
-        &self.unregs
-    }
-}
-
-/// What the driver returns to each processor. `segments` reuses the
-/// corresponding [`SyncPayload`]'s container, and the `recycle` /
-/// `regs_back` / `unregs_back` fields hand the worker back its own
-/// (drained) op and registration containers so the worker-side hot
-/// path never re-allocates them.
-pub(crate) struct DriverReply {
-    pub segments: Vec<Segment>,
-    pub results: Vec<(u64, Vec<u64>)>,
-    /// The worker's own `QueuedOps` containers, emptied (put payload
-    /// buffers are reclaimed into the driver's raw pool, closing the
-    /// put-buffer/get-reply-buffer cycle).
-    pub recycle: QueuedOps,
-    /// The worker's registration list, moved back so it can mirror
-    /// the driver's id assignment and then reuse the container.
-    pub regs_back: Vec<Registration>,
-    /// The worker's unregistration list, moved back likewise.
-    pub unregs_back: Vec<ArrayId>,
 }
 
 /// Aggregate traffic from one source processor to one cost owner in a
@@ -410,11 +355,10 @@ fn sweep_kappa(
 /// The driver's persistent state across phases.
 ///
 /// All per-phase working storage lives here and is reused from phase
-/// to phase: metadata and memory tables are dense `Vec`s indexed by
+/// to phase: the metadata table is a dense `Vec` indexed by
 /// `ArrayId.0` (ids are sequential), and the metering scratch
 /// (matrix, counters, access ranges, κ event buffer) is cleared, not
-/// reallocated. In steady state `process_sync` performs no heap
-/// allocation beyond the get-result payloads it must hand out.
+/// reallocated.
 pub(crate) struct Driver {
     p: usize,
     next_array_id: u32,
@@ -427,10 +371,6 @@ pub(crate) struct Driver {
     /// wall-clock backends), for span start points.
     now: Cycles,
     phase_idx: u64,
-    /// Global memory between hand-backs: `mem[array][proc]`. Slots are
-    /// empty `Vec`s while workers hold the segments; the table shape
-    /// persists so no per-phase rebuild is needed.
-    mem: Vec<Vec<Segment>>,
     // --- pooled per-phase scratch ---
     matrix: CommMatrix,
     m_rw: Vec<u64>,
@@ -455,10 +395,6 @@ pub(crate) struct Driver {
     /// paired with the indices touched this phase.
     bank_load: Vec<u64>,
     bank_load_touched: Vec<u32>,
-    /// Recycled raw-word buffers: put payloads reclaimed at hand-back
-    /// feed the next phase's get replies, so in steady state the
-    /// exchange allocates nothing.
-    raw_pool: Vec<Vec<u64>>,
 }
 
 /// Everything the plan stage decides about a phase before any data
@@ -484,7 +420,6 @@ impl Driver {
             rec,
             now: Cycles::ZERO,
             phase_idx: 0,
-            mem: Vec::new(),
             matrix: CommMatrix::new(p),
             m_rw: vec![0; p],
             h_in_words: vec![0; p],
@@ -499,14 +434,12 @@ impl Driver {
             links: 0,
             bank_load: Vec::new(),
             bank_load_touched: Vec::new(),
-            raw_pool: Vec::new(),
         }
     }
 
     /// Once-per-run initialization: switch on bank metering when the
     /// backend's machine models destination banks, so bank-free runs
-    /// never touch the layer. Both execution paths call this before
-    /// the first phase.
+    /// never touch the layer. Called before the first phase.
     pub(crate) fn begin_run(&mut self, timer: &dyn PhaseTimer) {
         if let Some(bm) = timer.bank_model() {
             self.banks = bm.banks_per_node;
@@ -516,110 +449,17 @@ impl Driver {
         self.links = timer.link_count();
     }
 
-    /// Run the driver loop until every worker reports `Finished`.
-    /// Returns the phase records in execution order, or the payload
-    /// of the first worker panic.
-    pub(crate) fn run(
-        mut self,
-        rx: &Receiver<WorkerMsg>,
-        txs: &[Sender<DriverReply>],
-        timer: &mut dyn PhaseTimer,
-    ) -> Result<Vec<PhaseRecord>, Box<dyn std::any::Any + Send>> {
-        self.begin_run(timer);
-        let mut records = Vec::new();
-        loop {
-            let mut syncs: Vec<Option<SyncPayload>> = (0..self.p).map(|_| None).collect();
-            let mut finished = 0usize;
-            for _ in 0..self.p {
-                match rx.recv().expect("worker hung up") {
-                    WorkerMsg::Sync(payload) => {
-                        let proc = payload.proc;
-                        assert!(
-                            syncs[proc].replace(payload).is_none(),
-                            "processor {proc} synced twice in one rendezvous"
-                        );
-                    }
-                    WorkerMsg::Finished { .. } => finished += 1,
-                    WorkerMsg::Panicked(payload) => return Err(payload),
-                }
-            }
-            if finished == self.p {
-                return Ok(records);
-            }
-            assert!(
-                finished == 0,
-                "collective violation: {} processor(s) returned while {} called sync()",
-                finished,
-                self.p - finished
-            );
-            let payloads: Vec<SyncPayload> = syncs.into_iter().map(Option::unwrap).collect();
-            let (replies, record) = self.process_sync(payloads, timer);
-            records.push(record);
-            for (tx, reply) in txs.iter().zip(replies) {
-                tx.send(reply).expect("worker hung up");
-            }
-        }
-    }
-
-    /// Join worker threads after a run, re-raising the first captured
-    /// panic (driver-detected worker panics take precedence so the
-    /// original message survives the thread boundary).
-    pub(crate) fn collect_outputs<R>(
-        handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, Option<R>>>,
-        driver_result: Result<Vec<PhaseRecord>, Box<dyn std::any::Any + Send>>,
-    ) -> (Vec<R>, Vec<PhaseRecord>) {
-        match driver_result {
-            Ok(records) => {
-                let outputs = handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .expect("worker panicked after reporting success")
-                            .expect("worker produced no output")
-                    })
-                    .collect();
-                (outputs, records)
-            }
-            Err(payload) => {
-                // Drain the workers (they unwind once the reply
-                // channels drop), then re-raise the original panic.
-                for h in handles {
-                    let _ = h.join();
-                }
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-
-    /// One rendezvous: run the four pipeline stages, then hand the
-    /// memory back. Stage order is load-bearing — gets must be
-    /// served from the pre-put state, and pricing must see the full
-    /// metered matrix — but each stage is backend-agnostic.
-    fn process_sync(
-        &mut self,
-        mut payloads: Vec<SyncPayload>,
-        timer: &mut dyn PhaseTimer,
-    ) -> (Vec<DriverReply>, PhaseRecord) {
-        let plan = self.plan_stage(&payloads);
-        let mut replies = self.exchange_stage(&mut payloads, &plan);
-        let timing = self.price_stage(&payloads, timer);
-        let faults = timer.fault_counts();
-        let bank_wait = timer.bank_wait();
-        let link = (timer.link_wait(), timer.link_util());
-        let record = self.record_stage(&plan, timing, faults, bank_wait, link);
-        self.handback_stage(&mut payloads, &mut replies, &plan);
-        (replies, record)
-    }
-
     /// **Stage 1 — plan.** Validate collective registration calls,
     /// assign ids to new arrays, and meter the phase: the traffic
     /// matrix, per-processor h/message counters, and the κ
-    /// contention sweep. No data moves yet. Generic over
-    /// [`PhaseInput`] so the SPMD leader runs the identical code;
-    /// `inputs` is indexed by processor id.
-    pub(crate) fn plan_stage<P: PhaseInput>(&mut self, inputs: &[P]) -> PhasePlan {
+    /// contention sweep — and build `routes`, the per-destination put
+    /// index the workers apply from. No data moves yet. `inputs` is
+    /// indexed by processor id.
+    pub(crate) fn plan_stage(&mut self, inputs: &[Slot], routes: &mut PutRoutes) -> PhasePlan {
         let this = &mut *self;
         let p = this.p;
+        routes.clear(p);
+        let mut ord = 0u32;
 
         // --- Collective registration / unregistration validation ---
         for i in 1..p {
@@ -661,14 +501,24 @@ impl Driver {
         debug_assert!(this.matrix.is_empty());
         let banks = this.banks;
         for (src, input) in inputs.iter().enumerate() {
+            routes.first.push(ord);
             for op in &input.ops().puts {
                 let info = info_for_op(&this.infos, &new_arrays, op.array);
                 let wpe = info.words_per_elem();
+                // Storage is block-distributed whatever the cost
+                // layout, so a put writes the contiguous owner range
+                // of its first and last element.
+                let first = block_owner(info.len, p, op.start);
+                let last = block_owner(info.len, p, op.start + op.len - 1);
+                for list in &mut routes.to[first..=last] {
+                    list.push(ord);
+                }
+                ord = ord.checked_add(1).expect("more than u32::MAX puts in one phase");
                 let acc = &mut this.accesses[op.array.0 as usize];
                 if acc.is_empty() {
                     this.touched_arrays.push(op.array.0);
                 }
-                acc.writes.push((op.start, op.data.len()));
+                acc.writes.push((op.start, op.len));
                 let matrix = &mut this.matrix;
                 for_each_owner_run(
                     info.layout,
@@ -676,7 +526,7 @@ impl Driver {
                     info.len,
                     p,
                     op.start,
-                    op.data.len(),
+                    op.len,
                     |owner, s, l| {
                         let cell = matrix.at_mut(src, owner);
                         // The library is word-granular, as in the paper:
@@ -704,7 +554,7 @@ impl Driver {
                         }
                     },
                 );
-                this.m_rw[src] += op.data.len() as u64 * wpe;
+                this.m_rw[src] += op.len as u64 * wpe;
             }
             for op in &input.ops().gets {
                 let info = info_for_op(&this.infos, &new_arrays, op.array);
@@ -747,6 +597,7 @@ impl Driver {
                 this.m_rw[src] += op.len as u64 * wpe;
             }
         }
+        routes.first.push(ord);
         let mut kappa = 0u64;
         this.touched_arrays.sort_unstable();
         for &aid in &this.touched_arrays {
@@ -813,118 +664,18 @@ impl Driver {
         PhasePlan { new_arrays, unregs, kappa, bank_kappa, data_msgs, payload_bytes }
     }
 
-    /// **Stage 2 — exchange.** Take ownership of the global memory,
-    /// serve gets from the PRE-put state, and apply puts in
-    /// deterministic order (processor order, then issue order).
-    fn exchange_stage(
-        &mut self,
-        payloads: &mut [SyncPayload],
-        plan: &PhasePlan,
-    ) -> Vec<DriverReply> {
-        let this = &mut *self;
-        let p = this.p;
-
-        // --- Take ownership of the global memory: mem[array][proc].
-        // The table shape persists across phases; segments swap in
-        // here and swap back out at hand-back, leaving each payload's
-        // (also persistent) table empty in between.
-        for payload in payloads.iter_mut() {
-            let proc = payload.proc;
-            debug_assert_eq!(payload.segments.len(), this.mem.len());
-            for (aidx, slot) in payload.segments.iter_mut().enumerate() {
-                std::mem::swap(slot, &mut this.mem[aidx][proc]);
-            }
-        }
-
-        // --- Serve gets from the PRE-put state ---
-        // Replies reuse the payloads' segment tables (now empty) and
-        // their returned result containers from the previous phase.
-        let mut replies: Vec<DriverReply> = payloads
-            .iter_mut()
-            .map(|pl| {
-                let mut results = std::mem::take(&mut pl.spare_results);
-                results.clear();
-                DriverReply {
-                    segments: std::mem::take(&mut pl.segments),
-                    results,
-                    recycle: QueuedOps::default(),
-                    regs_back: Vec::new(),
-                    unregs_back: Vec::new(),
-                }
-            })
-            .collect();
-        for payload in payloads.iter() {
-            for op in &payload.ops.gets {
-                let info = info_for_op(&this.infos, &plan.new_arrays, op.array);
-                let aidx = op.array.0 as usize;
-                assert!(
-                    aidx < this.mem.len(),
-                    "get from array '{}' before registration sync",
-                    info.name
-                );
-                let segs = &this.mem[aidx];
-                let mut out = this.raw_pool.pop().unwrap_or_default();
-                out.clear();
-                out.reserve(op.len);
-                for_each_owner_run(
-                    Layout::Block,
-                    op.array,
-                    info.len,
-                    p,
-                    op.start,
-                    op.len,
-                    |owner, s, l| {
-                        let base = crate::addr::block_range(info.len, p, owner).start;
-                        out.extend_from_slice(&segs[owner][s - base..s - base + l]);
-                    },
-                );
-                replies[payload.proc].results.push((op.ticket, out));
-            }
-        }
-
-        // --- Apply puts: processor order, then issue order ---
-        for payload in payloads.iter() {
-            for op in &payload.ops.puts {
-                let info = info_for_op(&this.infos, &plan.new_arrays, op.array);
-                let aidx = op.array.0 as usize;
-                assert!(
-                    aidx < this.mem.len(),
-                    "put to array '{}' before registration sync",
-                    info.name
-                );
-                let segs = &mut this.mem[aidx];
-                let mut off = 0usize;
-                for_each_owner_run(
-                    Layout::Block,
-                    op.array,
-                    info.len,
-                    p,
-                    op.start,
-                    op.data.len(),
-                    |owner, s, l| {
-                        let base = crate::addr::block_range(info.len, p, owner).start;
-                        segs[owner][s - base..s - base + l].copy_from_slice(&op.data[off..off + l]);
-                        off += l;
-                    },
-                );
-            }
-        }
-
-        replies
-    }
-
     /// **Stage 3 — price.** Hand the metered phase to the backend's
     /// [`PhaseTimer`]: charged local operations, the traffic matrix,
     /// and each worker's `sync()` arrival instant.
-    pub(crate) fn price_stage<P: PhaseInput>(
+    pub(crate) fn price_stage(
         &mut self,
-        inputs: &[P],
+        inputs: &[Slot],
         timer: &mut dyn PhaseTimer,
     ) -> PhaseTiming {
         self.charged.clear();
-        self.charged.extend(inputs.iter().map(PhaseInput::charged));
+        self.charged.extend(inputs.iter().map(Slot::charged));
         self.arrivals.clear();
-        self.arrivals.extend(inputs.iter().map(PhaseInput::arrived));
+        self.arrivals.extend(inputs.iter().map(Slot::arrived));
         timer.price(&self.charged, &self.matrix, &self.arrivals)
     }
 
@@ -1017,70 +768,10 @@ impl Driver {
         }
     }
 
-    /// Install newly registered arrays, drop unregistered ones, hand
-    /// the memory segments — and the workers' own drained op and
-    /// registration containers — back to the workers, and reset the
-    /// pooled per-phase scratch for the next rendezvous.
-    fn handback_stage(
-        &mut self,
-        payloads: &mut [SyncPayload],
-        replies: &mut [DriverReply],
-        plan: &PhasePlan,
-    ) {
-        let this = &mut *self;
-        let p = this.p;
-
-        // --- Install new arrays; drop unregistered; hand memory back ---
-        for info in &plan.new_arrays {
-            debug_assert_eq!(info.id.0 as usize, this.infos.len());
-            this.infos.push(Some(info.clone()));
-            this.accesses.push(AccessRanges::default());
-            this.mem.push(
-                (0..p)
-                    .map(|proc| vec![0u64; crate::addr::block_range(info.len, p, proc).len()])
-                    .collect(),
-            );
-        }
-        for id in &plan.unregs {
-            this.infos[id.0 as usize] = None;
-            for slot in &mut this.mem[id.0 as usize] {
-                *slot = Segment::new();
-            }
-        }
-        for (proc, reply) in replies.iter_mut().enumerate() {
-            reply.segments.resize_with(this.next_array_id as usize, Segment::new);
-            for (aidx, info) in this.infos.iter().enumerate() {
-                if info.is_some() {
-                    std::mem::swap(&mut this.mem[aidx][proc], &mut reply.segments[aidx]);
-                }
-            }
-        }
-
-        // --- Recycle the workers' op + registration containers ---
-        // Put payload buffers drain into the driver's raw pool (they
-        // become the next phase's get-reply buffers); the emptied
-        // containers travel back so the worker hot path reuses them.
-        for (payload, reply) in payloads.iter_mut().zip(replies.iter_mut()) {
-            let mut ops = std::mem::take(&mut payload.ops);
-            for put in ops.puts.drain(..) {
-                let mut buf = put.data;
-                buf.clear();
-                this.raw_pool.push(buf);
-            }
-            ops.gets.clear();
-            reply.recycle = ops;
-            reply.regs_back = std::mem::take(&mut payload.regs);
-            reply.unregs_back = std::mem::take(&mut payload.unregs);
-        }
-
-        this.reset_scratch();
-    }
-
-    /// Phase-end bookkeeping for the SPMD path, where workers own
-    /// their memory segments throughout: install metadata for new
-    /// arrays, retire unregistered ones, and reset the pooled scratch.
-    /// The channel path's [`Driver::handback_stage`] does the same
-    /// plus the memory hand-back this path never needs.
+    /// Phase-end bookkeeping (workers own their memory segments
+    /// throughout): install metadata for new arrays, retire
+    /// unregistered ones, and reset the pooled scratch. The put routes
+    /// are left alone — peers may still be applying from them.
     pub(crate) fn finish_phase_meta(&mut self, plan: &PhasePlan) {
         for info in &plan.new_arrays {
             debug_assert_eq!(info.id.0 as usize, self.infos.len());

@@ -8,96 +8,25 @@
 //! which is what makes cross-backend comparisons of the resulting
 //! [`RunResult`]s meaningful.
 //!
-//! Two execution paths share those stages:
-//!
-//! * **channel path** (the simulated backend): per-run scoped worker
-//!   threads rendezvous with a dedicated driver thread over channels;
-//!   ownership transfer through the channels is the synchronization.
-//! * **SPMD path** ([`Machine::uses_worker_pool`]; the threads
-//!   backend): jobs run on the resident worker pool (`crate::pool`)
-//!   and synchronize through the lock-free exchange area
-//!   (`crate::spmd`) — no driver thread, no per-run thread spawns.
+//! There is one execution path. Every backend's `p` processors run as
+//! jobs on the resident worker pool (`crate::pool`) and synchronize
+//! through the lock-free exchange area (`crate::spmd`); processor 0
+//! runs on the calling thread and doubles as the phase leader. There
+//! is no driver thread, and a warm pool spawns no thread per run.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-use crossbeam::channel::{bounded, unbounded};
 use qsm_models::ProgramProfile;
 
 use crate::ctx::Ctx;
 use crate::driver::{Driver, PhaseRecord};
 use crate::machine::{Machine, PhaseTimer, RunResult};
 
-/// Run `program` on every processor of `machine` and price the run.
+/// Run `program` on every processor of `machine` and price the run:
+/// one pool job per processor, with worker 0 as the phase leader
+/// running the driver's plan/price/record stages inline.
 pub(crate) fn run<M, R, F>(machine: &M, program: F) -> RunResult<R>
-where
-    M: Machine,
-    R: Send,
-    F: Fn(&mut Ctx) -> R + Send + Sync,
-{
-    if machine.uses_worker_pool() {
-        return run_spmd(machine, program);
-    }
-    let p = machine.nprocs();
-    let (worker_tx, driver_rx) = unbounded();
-    let mut reply_txs = Vec::with_capacity(p);
-    let mut reply_rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = bounded(1);
-        reply_txs.push(tx);
-        reply_rxs.push(rx);
-    }
-
-    // Ambient observability: emit into whatever recorder the harness
-    // installed (disabled — and free — by default). Driver and timer
-    // share it, so both backends feed the same capture.
-    let rec = crate::obs::recorder();
-    let driver = Driver::new(p, machine.check_conflicts(), rec.clone());
-    let mut timer = machine.make_timer(rec);
-    let program = &program;
-    let seed = machine.seed();
-
-    let scope_result = crossbeam::thread::scope(move |scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (proc, rx) in reply_rxs.into_iter().enumerate() {
-            let tx = worker_tx.clone();
-            handles.push(scope.spawn(move |_| {
-                let panic_tx = tx.clone();
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = Ctx::new(proc, p, seed, tx, rx);
-                    let out = program(&mut ctx);
-                    ctx.finish();
-                    out
-                }));
-                match result {
-                    Ok(out) => Some(out),
-                    Err(payload) => {
-                        let _ = panic_tx.send(crate::driver::WorkerMsg::Panicked(payload));
-                        None
-                    }
-                }
-            }));
-        }
-        drop(worker_tx);
-        let driver_result = driver.run(&driver_rx, &reply_txs, &mut timer);
-        drop(reply_txs); // release any workers still blocked in sync()
-        Driver::collect_outputs(handles, driver_result)
-    });
-    let (outputs, phases) = match scope_result {
-        Ok(v) => v,
-        // The driver panicked on the scope thread (e.g. a collective
-        // violation): re-raise with its own message.
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-
-    assemble(machine, outputs, phases)
-}
-
-/// Run `program` on the resident SPMD worker pool with the lock-free
-/// exchange (`crate::spmd`): one job per processor, worker 0 doubles
-/// as the phase leader running the driver's plan/price/record stages
-/// inline.
-fn run_spmd<M, R, F>(machine: &M, program: F) -> RunResult<R>
 where
     M: Machine,
     R: Send,
@@ -157,29 +86,26 @@ where
         let stats = crate::pool::execute(p, &job);
 
         if rec.is_enabled() {
-            // Pool placement telemetry. All deterministic for a given
-            // environment (the pool always grows to min(p, QSM_POOL)
-            // residents before placing, and spawns are attributed to
-            // runs under the pool lock), so metrics-level dumps stay
-            // byte-stable across QSM_JOBS.
-            rec.add("pool_spawns", stats.spawned);
             rec.add("spmd_runs", 1);
-            rec.add("pool_resident_jobs", stats.resident as u64);
-            if stats.overflow > 0 {
-                rec.add("pool_overflow_jobs", stats.overflow as u64);
-            }
             if crate::pool::pinning_requested() {
                 rec.add("pool_pinned_runs", 1);
             }
         }
-    }
-
-    if rec.is_full() {
-        // Barrier backoff escalations are scheduling-dependent, so
-        // they are full-level only (single-run captures).
-        let (yields, sleeps) = area.barrier_transitions();
-        rec.add("spmd_barrier_yield_transitions", yields);
-        rec.add("spmd_barrier_sleep_transitions", sleeps);
+        if rec.is_full() {
+            // Pool placement depends on process history (the first
+            // run spawns the residents) and on how concurrent runs
+            // interleave (a run that finds the pool busy overflows),
+            // and barrier escalations on scheduling, so they are
+            // full-level only (single-run captures).
+            rec.add("pool_spawns", stats.spawned);
+            rec.add("pool_resident_jobs", stats.resident as u64);
+            if stats.overflow > 0 {
+                rec.add("pool_overflow_jobs", stats.overflow as u64);
+            }
+            let (yields, blocks) = area.barrier_transitions();
+            rec.add("spmd_barrier_yield_transitions", yields);
+            rec.add("spmd_barrier_block_transitions", blocks);
+        }
     }
     let (phases, panic) = area.into_results();
     if let Some(payload) = panic {
@@ -198,8 +124,8 @@ where
 fn assemble<M: Machine, R>(machine: &M, outputs: Vec<R>, phases: Vec<PhaseRecord>) -> RunResult<R> {
     let profile = ProgramProfile { phases: phases.iter().map(|r| r.profile).collect() };
     // Fold fault totals into the calling thread's tally (always runs
-    // on the thread that called `Machine::run` on both paths, which
-    // is what lets the bench sweep scope per-point deltas).
+    // on the thread that called `Machine::run`, which is what lets
+    // the bench sweep scope per-point deltas).
     let (retries, drops) =
         phases.iter().fold((0u64, 0u64), |(r, d), ph| (r + ph.retries, d + ph.dropped_msgs));
     crate::tally::note_run(retries, drops);

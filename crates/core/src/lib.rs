@@ -64,9 +64,9 @@ pub mod knob;
 pub mod machine;
 pub mod obs;
 pub mod ops;
-// The channel-path runtime contains no unsafe at all; the SPMD
-// threads engine and its worker pool are the two audited exceptions
-// (barrier-bracketed shared slots, raw-syscall core pinning).
+// The SPMD engine and its worker pool are the two audited exceptions
+// to the no-unsafe rule (barrier-bracketed shared slots, lifetime-
+// erased pool jobs, raw-syscall core pinning).
 #[allow(unsafe_code)]
 pub mod pool;
 pub mod shmem;

@@ -5,9 +5,11 @@
 //! [`PhaseTimer`] that prices each phase, and how to assemble the
 //! final [`CostReport`]. The run pipeline itself —
 //! **plan → exchange → price → record** — lives once in
-//! `crate::engine` and is shared by every backend, so the simulated
-//! and native machines produce the same [`PhaseRecord`] stream, the
-//! same profile, and feed the same observability recorder. That is
+//! `crate::engine`, and every backend executes it the same way: `p`
+//! jobs on the resident SPMD worker pool, synchronizing through one
+//! lock-free exchange. So the simulated and native machines produce
+//! the same [`PhaseRecord`] stream, the same profile, and feed the
+//! same observability recorder; only the timer differs. That is
 //! the paper's methodology in code: identical programs, identical
 //! measured quantities, different machines.
 //!
@@ -113,9 +115,8 @@ pub trait PhaseTimer: Send {
 /// for a program running unmodified on both backends.
 pub trait Machine {
     /// The phase-pricing strategy this backend plugs into the engine.
-    /// (`'static` so the SPMD engine can hold it as a trait object
-    /// across the run; timers are configuration + counters, never
-    /// borrows.)
+    /// (`'static` so the engine can hold it as a trait object across
+    /// the run; timers are configuration + counters, never borrows.)
     type Timer: PhaseTimer + 'static;
 
     /// Number of processors.
@@ -136,15 +137,6 @@ pub trait Machine {
 
     /// Build the timer for one run, emitting into `rec`.
     fn make_timer(&self, rec: Recorder) -> Self::Timer;
-
-    /// Whether runs execute on the resident SPMD worker pool
-    /// (`crate::pool`) with the lock-free exchange instead of the
-    /// channel-path driver thread. Default: channel path. The
-    /// threads backend opts in; the simulated backend keeps the
-    /// deterministic driver pipeline.
-    fn uses_worker_pool(&self) -> bool {
-        false
-    }
 
     /// Assemble the run's cost report from its phase records.
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport;
@@ -375,13 +367,6 @@ impl Machine for AnyMachine {
         match self {
             AnyMachine::Sim(m) => AnyTimer(AnyTimerInner::Sim(Box::new(m.make_timer(rec)))),
             AnyMachine::Threads(m) => AnyTimer(AnyTimerInner::Wall(m.make_timer(rec))),
-        }
-    }
-
-    fn uses_worker_pool(&self) -> bool {
-        match self {
-            AnyMachine::Sim(m) => m.uses_worker_pool(),
-            AnyMachine::Threads(m) => m.uses_worker_pool(),
         }
     }
 

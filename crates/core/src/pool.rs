@@ -1,30 +1,39 @@
 //! Process-global pool of resident SPMD worker threads.
 //!
-//! The threads backend used to spawn a fresh `crossbeam::thread`
-//! scope of `p` workers on every `run()`. At large `p` (or many
-//! small runs) thread creation dominates, so this module keeps a
-//! process-global pool of **resident** workers that are spawned once
-//! and reused for every subsequent run: `execute` submits one job
-//! per processor to the resident workers and blocks until all report
-//! completion. Workers beyond the resident cap (knob `QSM_POOL`;
-//! default: grow to the largest `p` ever requested) are spawned
-//! per-run as overflow and do not persist.
+//! Every backend runs its `p` processors as pool jobs. At large `p`
+//! (or many small runs) thread creation would dominate, so this
+//! module keeps a process-global pool of **resident** workers that
+//! are spawned once and reused for every subsequent run. `execute`
+//! runs processor 0 — the phase leader — on the calling thread,
+//! submits processors `1..p` to the resident workers, and returns
+//! once all completed. The leader thus allocates its per-run metering
+//! and pricing state on the caller's thread, as a dedicated driver
+//! would; a resident leader would leave those large temporaries
+//! fragmenting its own malloc arena from run to run.
 //!
-//! With `QSM_PIN=1` each worker is pinned to host core
-//! `index % available_parallelism()` at spawn via a raw
+//! The pool grows to `p - 1` workers for the largest `p` ever
+//! requested — on the simulated backend that can be a thousand or
+//! more — unless the knob `QSM_POOL` caps it; workers beyond the cap
+//! are spawned per run as overflow scoped threads and do not persist.
+//!
+//! With `QSM_PIN=1` the worker of processor `i` is pinned to host
+//! core `i % available_parallelism()` at spawn via a raw
 //! `sched_setaffinity` syscall (the workspace vendors no libc). On
 //! platforms where pinning is unsupported or fails, a single warning
-//! is printed and workers run unpinned.
+//! is printed and workers run unpinned. The calling thread is never
+//! pinned.
 //!
-//! Concurrent `execute` calls serialize on the pool lock for the
-//! whole run: SPMD jobs rendezvous on barriers, so interleaving two
-//! runs' jobs across one set of workers would deadlock.
+//! A run holds the pool lock for its whole duration: SPMD jobs
+//! rendezvous on barriers, so interleaving two runs' jobs across one
+//! set of workers would deadlock. A run that finds the pool taken
+//! (another sweep point running concurrently, or a run nested inside
+//! a program) does not wait for it: it places all its jobs on
+//! overflow threads instead, so concurrent runs never serialize.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-use crossbeam::channel::{unbounded, Sender};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Mutex, OnceLock, TryLockError};
 
 use crate::knob;
 
@@ -43,7 +52,8 @@ struct Job {
 }
 
 struct PoolState {
-    /// Job inboxes of resident workers; index = worker = processor id.
+    /// Job inboxes of resident workers; `workers[i]` runs processor
+    /// `i + 1` (processor 0 runs on the caller).
     workers: Vec<Sender<Job>>,
 }
 
@@ -82,9 +92,10 @@ pub(crate) fn pinning_requested() -> bool {
     pinning()
 }
 
-/// Logical host cores (1 when undetectable).
+/// Logical host cores (1 when undetectable). Read once per process.
 pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 fn warn_pin_failed_once() {
@@ -158,17 +169,18 @@ fn pin_to_core(_core: usize) -> bool {
     false
 }
 
-/// Spawn resident worker `idx`: a detached process-lifetime thread
-/// that loops on its job inbox. The defensive `catch_unwind` keeps a
-/// panicking job from killing the resident worker (the SPMD engine
-/// catches its own panics, so this fires only for foreign jobs).
-fn spawn_resident(idx: usize) -> Sender<Job> {
-    let (tx, rx) = unbounded::<Job>();
+/// Spawn the resident worker of processor `proc`: a detached
+/// process-lifetime thread that loops on its job inbox. The defensive
+/// `catch_unwind` keeps a panicking job from killing the resident
+/// worker (the SPMD engine catches its own panics, so this fires only
+/// for foreign jobs).
+fn spawn_resident(proc: usize) -> Sender<Job> {
+    let (tx, rx) = channel::<Job>();
     SPAWNED.fetch_add(1, Ordering::AcqRel);
     std::thread::Builder::new()
-        .name(format!("qsm-pool-{idx}"))
+        .name(format!("qsm-pool-{proc}"))
         .spawn(move || {
-            maybe_pin(idx);
+            maybe_pin(proc);
             while let Ok(job) = rx.recv() {
                 let result = catch_unwind(AssertUnwindSafe(|| (job.f)(job.proc)));
                 let _ = job.done.send(result);
@@ -178,10 +190,11 @@ fn spawn_resident(idx: usize) -> Sender<Job> {
     tx
 }
 
-/// How one `execute` call placed its jobs: `resident + overflow == p`.
-/// Deterministic for a given environment — the growth loop always
-/// brings the pool to `min(p, QSM_POOL)` residents before placing —
-/// so these are safe to surface as metrics-level telemetry.
+/// How one `execute` call placed its jobs: `resident + overflow ==
+/// p - 1`, processor 0 running on the caller. Depends on process
+/// history (the first run spawns the residents) and on concurrent
+/// runs (a run that finds the pool busy overflows entirely), so it is
+/// telemetry for single-run captures only.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecStats {
     /// Jobs placed on resident (reused) pool workers.
@@ -189,71 +202,80 @@ pub(crate) struct ExecStats {
     /// Jobs placed on per-call overflow threads.
     pub(crate) overflow: usize,
     /// Worker threads spawned by this call (pool growth + overflow).
-    /// Counted under the pool lock — unlike a delta of the global
-    /// [`spawned_workers`] counter, concurrent `execute` calls can
-    /// never attribute one spawn to two runs, so per-run sums stay
-    /// identical for every caller interleaving.
+    /// Unlike a delta of the global [`spawned_workers`] counter, it
+    /// never attributes another concurrent call's spawns to this one.
     pub(crate) spawned: u64,
 }
 
 /// Run `job(proc)` for every `proc` in `0..p`, each invocation on its
-/// own worker thread, and return once all `p` invocations completed.
+/// own thread, and return once all `p` invocations completed.
 ///
-/// Processors `0..min(p, QSM_POOL)` run on resident pool workers
-/// (spawned on first use, reused ever after); any remainder runs on
-/// per-call overflow threads. If any job panicked, the first payload
-/// (by completion order) is re-raised after all jobs finished.
+/// Processor 0 runs on the calling thread. Processors
+/// `1..=min(p - 1, QSM_POOL)` run on resident pool workers (spawned
+/// on first use, reused ever after); any remainder — or all of them,
+/// when another run holds the pool — runs on per-call overflow
+/// threads. If any job panicked, one payload (processor 0's, else the
+/// first by completion order) is re-raised after all jobs finished.
 /// Returns how the jobs were placed.
 pub(crate) fn execute(p: usize, job: &(dyn Fn(usize) + Sync)) -> ExecStats {
+    let helpers = p.saturating_sub(1);
     let pool = POOL.get_or_init(|| Mutex::new(PoolState { workers: Vec::new() }));
-    // Held for the entire call — see the module doc on serialization.
-    let mut state = pool.lock().unwrap_or_else(|e| e.into_inner());
-    let resident_target = p.min(pool_cap());
+    // Held for the entire call — see the module doc on concurrency.
+    let mut state = match pool.try_lock() {
+        Ok(state) => Some(state),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    };
     let mut grown = 0u64;
-    while state.workers.len() < resident_target {
-        let idx = state.workers.len();
-        let tx = spawn_resident(idx);
-        state.workers.push(tx);
-        grown += 1;
+    if let Some(state) = state.as_mut() {
+        while state.workers.len() < helpers.min(pool_cap()) {
+            let proc = state.workers.len() + 1;
+            state.workers.push(spawn_resident(proc));
+            grown += 1;
+        }
     }
+    let residents = state.as_ref().map_or(&[][..], |s| &s.workers[..]);
+    let resident_used = helpers.min(residents.len());
     // SAFETY: the erased job reference is used only by resident
     // workers (until their done-signal below) and overflow scope
     // threads (joined before the scope ends); both complete before
     // `execute` returns, so the borrow outlives every use.
     let job_static: JobRef = unsafe { std::mem::transmute(job) };
-    let (done_tx, done_rx) = unbounded::<Result<(), Payload>>();
-    let resident_used = p.min(state.workers.len());
-    let first_panic = crossbeam::thread::scope(|scope| {
-        for proc in resident_used..p {
+    let (done_tx, done_rx) = channel::<Result<(), Payload>>();
+    let first_panic = std::thread::scope(|scope| {
+        for proc in 1 + resident_used..p {
             SPAWNED.fetch_add(1, Ordering::AcqRel);
             let done = done_tx.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 maybe_pin(proc);
                 let result = catch_unwind(AssertUnwindSafe(|| job_static(proc)));
                 let _ = done.send(result);
             });
         }
-        for (proc, worker) in state.workers.iter().enumerate().take(resident_used) {
+        for (i, worker) in residents[..resident_used].iter().enumerate() {
             worker
-                .send(Job { f: job_static, proc, done: done_tx.clone() })
+                .send(Job { f: job_static, proc: i + 1, done: done_tx.clone() })
                 .expect("pool worker died");
         }
         let mut first_panic = None;
-        for _ in 0..p {
+        if p > 0 {
+            first_panic = catch_unwind(AssertUnwindSafe(|| job(0))).err();
+        }
+        for _ in 0..helpers {
             if let Err(payload) = done_rx.recv().expect("worker hung up") {
                 first_panic.get_or_insert(payload);
             }
         }
         first_panic
-    })
-    .expect("overflow worker panicked outside the job");
+    });
+    drop(state);
     if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
     ExecStats {
         resident: resident_used,
-        overflow: p - resident_used,
-        spawned: grown + (p - resident_used) as u64,
+        overflow: helpers - resident_used,
+        spawned: grown + (helpers - resident_used) as u64,
     }
 }
 
@@ -272,19 +294,41 @@ mod tests {
         for h in &hits {
             assert_eq!(h.load(Ordering::SeqCst), 1);
         }
-        assert_eq!(stats.resident + stats.overflow, 8, "every job placed exactly once");
+        assert_eq!(stats.resident + stats.overflow, 7, "processor 0 runs on the caller");
     }
 
     #[test]
     fn repeated_execute_reuses_resident_workers() {
-        // Warm the pool to the largest p any test in this binary uses,
-        // so a concurrently running test cannot grow it mid-assert.
-        execute(8, &|_proc| {});
-        let before = spawned_workers();
+        // Other tests in this binary run machines concurrently, and a
+        // run that finds the pool busy overflows, so reuse is checked
+        // per call: warm the pool to the largest p any test here uses
+        // (retrying while another run holds it), then every call that
+        // gets the pool must spawn nothing.
+        while execute(8, &|_proc| {}).resident == 0 {}
         for _ in 0..3 {
-            execute(8, &|_proc| {});
+            let stats = execute(8, &|_proc| {});
+            assert_eq!(stats.resident + stats.overflow, 7);
+            if stats.resident > 0 {
+                assert_eq!(stats.spawned, 0, "resident workers must be reused");
+            }
         }
-        assert_eq!(spawned_workers(), before, "resident workers must be reused");
+    }
+
+    #[test]
+    fn a_run_that_finds_the_pool_busy_overflows() {
+        // A run nested inside a job finds the pool taken by the outer
+        // run; waiting for the lock would deadlock.
+        let inner = Mutex::new(None);
+        let outer = execute(2, &|proc| {
+            if proc == 0 {
+                *inner.lock().unwrap() = Some(execute(2, &|_| {}));
+            }
+        });
+        let inner = inner.into_inner().unwrap().expect("nested run completed");
+        assert_eq!(inner.resident + inner.overflow, 1);
+        if outer.resident > 0 {
+            assert_eq!(inner.overflow, 1, "the busy pool must not place jobs");
+        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! [`SimMachine`] executes a QSM program — an ordinary Rust closure
 //! receiving a [`Ctx`] — on `p` *simulated* processors, through the
 //! same engine as every other backend. Each simulated processor is
-//! an OS thread running the closure; simulated time advances only
-//! inside `sync()`, where the driver's price stage runs the
-//! configured [`MachineConfig`] through the `qsm-simnet` network
-//! model. Results are bit-exact reproducible for a given machine
-//! seed.
+//! a worker thread of the resident pool running the closure;
+//! simulated time advances only inside `sync()`, where the leader's
+//! price stage runs the configured [`MachineConfig`] through the
+//! `qsm-simnet` network model. Results are bit-exact reproducible for
+//! a given machine seed.
 
 use qsm_obs::Recorder;
 use qsm_simnet::{Cycles, MachineConfig};

@@ -1,6 +1,6 @@
-//! The SPMD threads engine: a lock-free, double-buffered `sync()`.
+//! The SPMD engine: a lock-free, double-buffered `sync()`.
 //!
-//! On the threads backend no driver thread exists. Every worker
+//! Every backend runs here; no driver thread exists. Every worker
 //! publishes its phase contribution (charged ops, queued puts/gets,
 //! registrations, and a pointer to its own memory segments) into a
 //! per-processor **slot** of a shared [`ExchangeArea`], then crosses
@@ -9,10 +9,11 @@
 //! ```text
 //!   publish slot[phase % 2]          (each worker, its own slot)
 //!   ── B1 ──────────────────────────
-//!   leader: plan stage               (worker 0; reads all slots)
+//!   leader: plan stage               (worker 0; reads all slots,
+//!                                     builds the put routes)
 //!   all:    serve own gets           (read peers' frozen stores)
 //!   ── B2 ──────────────────────────
-//!   all:    apply puts to own block, install/retire arrays
+//!   all:    apply puts routed to own block, install/retire arrays
 //!   leader: price + record stages    (overlaps peers' next compute)
 //! ```
 //!
@@ -24,13 +25,21 @@
 //! happen before the leader finished phase *k* (the leader only
 //! reaches the *k+1* barriers after recording *k*).
 //!
-//! The plan/price/record stages are literally the driver's
-//! (`Driver::plan_stage` & co., generic over
-//! [`PhaseInput`]), so both execution paths meter and price phases
-//! with the same code; only the *exchange* differs — workers serve
-//! their own gets from peers' frozen stores between the barriers and
-//! apply the puts that land in their own block right after B2, in the
-//! same deterministic processor-then-issue order as the driver.
+//! The plan/price/record stages are the driver's (`Driver::plan_stage`
+//! & co.). The exchange is distributed: workers serve their own gets
+//! from peers' frozen stores between the barriers, and after B2 each
+//! applies only the puts the plan stage routed to its own block
+//! ([`PutRoutes`]), in processor-then-issue order. Applying costs each
+//! worker O(its incoming puts), not O(every put of the phase).
+//!
+//! ### Spinning or blocking
+//!
+//! Barrier waiters spin (then yield) only when every worker can have
+//! a core: `p` at most the host's available parallelism. Otherwise —
+//! the simulated backend routinely runs p = 1024 workers on a handful
+//! of cores — spinning would starve the very threads being waited on,
+//! so waiters block on a condition variable straight away. Either way
+//! a releaser skips the wake-up syscall when nobody sleeps.
 //!
 //! ### Memory-safety windows
 //!
@@ -43,7 +52,9 @@
 //!   B2(*k*) (reads by any worker), and mutated only by its owner
 //!   afterwards;
 //! * registration slices published by pointer are read only by the
-//!   leader between B1 and B2; owners clear them after B2.
+//!   leader between B1 and B2; owners clear them after B2;
+//! * the put routes are written by the leader between B1(*k*) and
+//!   B2(*k*) and read by every worker between B2(*k*) and B1(*k+1*).
 //!
 //! ### Aborts
 //!
@@ -57,15 +68,15 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 use qsm_obs::{Recorder, Span, SpanKind};
 use qsm_simnet::Cycles;
 
 use crate::addr::{block_range, for_each_owner_run, ArrayId, Layout};
-use crate::ctx::{Ctx, Runtime};
-use crate::driver::{Driver, PhaseInput, PhasePlan, PhaseRecord};
+use crate::ctx::Ctx;
+use crate::driver::{Driver, PhasePlan, PhaseRecord, PutRoutes};
 use crate::machine::PhaseTimer;
 use crate::ops::QueuedOps;
 use crate::shmem::{ArrayInfo, LocalStore, Registration};
@@ -79,100 +90,141 @@ fn aborted() -> ! {
     std::panic::panic_any(SpmdAborted);
 }
 
-/// Adaptive wait: brief spin, then yield, then sleep — the host may
-/// have (many) fewer cores than workers, so unbounded spinning would
-/// starve the very thread being waited on.
-fn backoff(spins: &mut u32) {
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else if *spins < 256 {
-        std::thread::yield_now();
-    } else {
-        std::thread::sleep(Duration::from_micros(50));
-    }
-}
+/// Spins (busy, then yielding) a spinning waiter makes before it
+/// blocks.
+const SPIN_LIMIT: u32 = 256;
+/// Of those, the first ones only hint the CPU; the rest yield.
+const SPIN_BUSY: u32 = 64;
 
-/// A reusable, poisonable spin barrier (sense via a generation
-/// counter). `wait()` returns whether the barrier is poisoned;
-/// poisoned barriers release all current and future waiters
-/// immediately, which is how a panicking worker unblocks its peers.
+/// A reusable, poisonable barrier (sense via a generation counter)
+/// that spins or blocks by the rule on the module doc. `wait()`
+/// returns whether the barrier is poisoned; poisoned barriers release
+/// all current and future waiters immediately, which is how a
+/// panicking worker unblocks its peers.
+///
+/// Blocking uses one mutex + condvar and a sleeper count. A waiter
+/// registers as a sleeper under the lock before its last check of the
+/// condition; a releaser publishes the condition, then reads the
+/// sleeper count (both `SeqCst`), so either the waiter sees the
+/// release or the releaser sees the sleeper and notifies under the
+/// lock — no lost wake-ups, and no syscall when nobody sleeps.
 ///
 /// With `track` on, every wait that escalated past pure spinning
-/// bumps one of two relaxed telemetry counters (its deepest backoff
-/// state: yield or sleep) — cheap enough to leave in the wait path,
-/// but only requested when full-level observability is capturing.
-struct SpinBarrier {
+/// bumps one of two relaxed telemetry counters (its deepest state:
+/// yield or block) — cheap enough to leave in the wait path, but only
+/// requested when full-level observability is capturing.
+struct PhaseBarrier {
     p: usize,
     count: AtomicUsize,
     gen: AtomicUsize,
     poisoned: AtomicBool,
+    /// Whether waiters spin before blocking (`p` ≤ host cores).
+    spin: bool,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
     track: bool,
-    /// Waits whose deepest backoff was `yield_now` (spun ≥ 64).
+    /// Waits whose deepest state was `yield_now`.
     yields: AtomicU64,
-    /// Waits that escalated all the way to sleeping (spun ≥ 256).
-    sleeps: AtomicU64,
+    /// Waits that blocked on the condvar.
+    blocks: AtomicU64,
 }
 
-impl SpinBarrier {
-    fn new(p: usize, track: bool) -> Self {
+impl PhaseBarrier {
+    fn new(p: usize, spin: bool, track: bool) -> Self {
         Self {
             p,
             count: AtomicUsize::new(0),
             gen: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
+            spin,
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
             track,
             yields: AtomicU64::new(0),
-            sleeps: AtomicU64::new(0),
+            blocks: AtomicU64::new(0),
         }
     }
 
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
+        self.poisoned.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 
     fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poisoned.load(Ordering::SeqCst)
+    }
+
+    /// Wake every blocked waiter; called after a `SeqCst` store that
+    /// makes some waiter's condition true.
+    fn wake_all(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // Taking the lock orders this wake-up after any sleeper's
+            // final check: it is either inside `wait` or saw the store.
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.cv.notify_all();
+        }
+    }
+
+    /// Wait until `ready()` (which must read with `SeqCst`) holds:
+    /// spin first when spinning can help, then block.
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        let mut spins = 0u32;
+        if self.spin {
+            while spins < SPIN_LIMIT {
+                if ready() {
+                    break;
+                }
+                if spins < SPIN_BUSY {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                spins += 1;
+            }
+        }
+        let blocked = spins == SPIN_LIMIT || !self.spin;
+        if blocked && !ready() {
+            let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            while !ready() {
+                guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            if self.track {
+                self.blocks.fetch_add(1, Ordering::Relaxed);
+            }
+        } else if self.track && spins > SPIN_BUSY {
+            self.yields.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Block until all `p` workers arrived (or the barrier was
-    /// poisoned); returns `true` iff poisoned. The release-store of
-    /// `gen` by the last arriver and the acquire-loads by the
-    /// spinners (plus the AcqRel RMW chain on `count`) provide the
-    /// happens-before edge between everything published before the
-    /// barrier and everything read after it.
+    /// poisoned); returns `true` iff poisoned. The store of `gen` by
+    /// the last arriver and the loads by the waiters (plus the AcqRel
+    /// RMW chain on `count`) provide the happens-before edge between
+    /// everything published before the barrier and everything read
+    /// after it.
     fn wait(&self) -> bool {
         if self.is_poisoned() {
             return true;
         }
-        let g = self.gen.load(Ordering::Acquire);
+        let g = self.gen.load(Ordering::SeqCst);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.p {
             self.count.store(0, Ordering::Relaxed);
-            self.gen.store(g + 1, Ordering::Release);
-            self.is_poisoned()
+            self.gen.store(g + 1, Ordering::SeqCst);
+            self.wake_all();
         } else {
-            let mut spins = 0u32;
-            while self.gen.load(Ordering::Acquire) == g {
-                if self.is_poisoned() {
-                    return true;
-                }
-                backoff(&mut spins);
-            }
-            if self.track {
-                if spins >= 256 {
-                    self.sleeps.fetch_add(1, Ordering::Relaxed);
-                } else if spins >= 64 {
-                    self.yields.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.is_poisoned()
+            self.wait_until(|| self.gen.load(Ordering::SeqCst) != g || self.is_poisoned());
         }
+        self.is_poisoned()
     }
 
-    /// `(yield, sleep)` escalation counts accumulated so far (always
+    /// `(yield, block)` escalation counts accumulated so far (always
     /// zero unless tracking was requested at construction).
     fn transitions(&self) -> (u64, u64) {
-        (self.yields.load(Ordering::Relaxed), self.sleeps.load(Ordering::Relaxed))
+        (self.yields.load(Ordering::Relaxed), self.blocks.load(Ordering::Relaxed))
     }
 }
 
@@ -188,8 +240,8 @@ pub(crate) struct Slot {
     state: AtomicU8,
     charged: UnsafeCell<u64>,
     arrived: UnsafeCell<Instant>,
-    /// Queued ops, moved in at publish; put payload buffers are
-    /// reclaimed by the owner when it republishes two phases later.
+    /// Queued ops, moved in at publish; the owner takes the emptied
+    /// containers back when it republishes two phases later.
     ops: UnsafeCell<QueuedOps>,
     /// The owner's pending registrations (valid B1..B2; leader only).
     regs: UnsafeCell<*const [Registration]>,
@@ -215,24 +267,25 @@ impl Slot {
     }
 }
 
+// The leader's stages read published slots through these accessors.
 // SAFETY: every UnsafeCell in a Slot follows the single-writer
 // barrier-bracketed protocol documented on the module: the owner
 // writes only at publish time, peers read only inside the barrier
 // windows, and the barrier provides the required happens-before.
-impl PhaseInput for Slot {
-    fn charged(&self) -> u64 {
+impl Slot {
+    pub(crate) fn charged(&self) -> u64 {
         unsafe { *self.charged.get() }
     }
-    fn arrived(&self) -> Instant {
+    pub(crate) fn arrived(&self) -> Instant {
         unsafe { *self.arrived.get() }
     }
-    fn ops(&self) -> &QueuedOps {
+    pub(crate) fn ops(&self) -> &QueuedOps {
         unsafe { &*self.ops.get() }
     }
-    fn regs(&self) -> &[Registration] {
+    pub(crate) fn regs(&self) -> &[Registration] {
         unsafe { &**self.regs.get() }
     }
-    fn unregs(&self) -> &[ArrayId] {
+    pub(crate) fn unregs(&self) -> &[ArrayId] {
         unsafe { &**self.unregs.get() }
     }
 }
@@ -326,8 +379,11 @@ pub(crate) struct ExchangeArea {
     p: usize,
     /// Double-buffered per-processor slots, indexed `[phase % 2][proc]`.
     slots: [Box<[Slot]>; 2],
-    barrier: SpinBarrier,
-    /// Exit rendezvous: workers count themselves out and spin until
+    barrier: PhaseBarrier,
+    /// The current phase's per-destination put index (written by the
+    /// leader's plan stage; see the module doc for its window).
+    routes: UnsafeCell<PutRoutes>,
+    /// Exit rendezvous: workers count themselves out and wait until
     /// everyone left, so no `Ctx` drops while a peer might read it.
     exited: AtomicUsize,
     /// Real panic payloads, stashed by the engine's worker wrapper.
@@ -339,8 +395,10 @@ pub(crate) struct ExchangeArea {
 }
 
 // SAFETY: Slot access follows the single-writer barrier protocol
-// (see the module doc); `leader` is touched only by worker 0 during
-// the run and by the owning engine frame after every worker exited.
+// (see the module doc); `routes` is written only by worker 0 between
+// B1 and B2 and read by every worker only between B2 and the next B1;
+// `leader` is touched only by worker 0 during the run and by the
+// owning engine frame after every worker exited.
 unsafe impl Sync for ExchangeArea {}
 
 impl ExchangeArea {
@@ -354,7 +412,8 @@ impl ExchangeArea {
         Self {
             p,
             slots: [mk(), mk()],
-            barrier: SpinBarrier::new(p, obs.is_some()),
+            barrier: PhaseBarrier::new(p, p <= crate::pool::host_cores(), obs.is_some()),
+            routes: UnsafeCell::new(PutRoutes::default()),
             exited: AtomicUsize::new(0),
             panics: Mutex::new(Vec::new()),
             leader: UnsafeCell::new(LeaderState { driver, timer, records: Vec::new(), plan: None }),
@@ -362,7 +421,7 @@ impl ExchangeArea {
         }
     }
 
-    /// `(yield, sleep)` backoff escalations the barrier accumulated
+    /// `(yield, block)` escalations the barrier accumulated
     /// over the run (zero unless capture was on).
     pub(crate) fn barrier_transitions(&self) -> (u64, u64) {
         self.barrier.transitions()
@@ -400,7 +459,7 @@ pub(crate) struct SpmdLink {
 /// Build the per-processor context for one SPMD worker (attaching a
 /// span buffer when the run captures at full level).
 pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeArea) -> Ctx {
-    let mut ctx = Ctx::new_spmd(proc, nprocs, seed, SpmdLink { area });
+    let mut ctx = Ctx::new(proc, nprocs, seed, SpmdLink { area });
     if let Some(obs) = &area.obs {
         ctx.spmd_obs = Some(Box::new(SpmdObs::new(obs)));
     }
@@ -410,18 +469,15 @@ pub(crate) fn make_ctx(proc: usize, nprocs: usize, seed: u64, area: &ExchangeAre
 /// Count this worker out and wait until every worker did; after this
 /// returns, no peer will ever read this worker's `Ctx` again.
 pub(crate) fn exit_rendezvous(area: &ExchangeArea) {
-    area.exited.fetch_add(1, Ordering::AcqRel);
-    let mut spins = 0u32;
-    while area.exited.load(Ordering::Acquire) < area.p {
-        backoff(&mut spins);
+    if area.exited.fetch_add(1, Ordering::SeqCst) + 1 == area.p {
+        area.barrier.wake_all();
+    } else {
+        area.barrier.wait_until(|| area.exited.load(Ordering::SeqCst) == area.p);
     }
 }
 
 fn area_of(ctx: &Ctx) -> &'static ExchangeArea {
-    let link = match &ctx.runtime {
-        Runtime::Spmd(link) => *link,
-        Runtime::Channel { .. } => unreachable!("SPMD call on a channel-path Ctx"),
-    };
+    let link = ctx.link;
     // SAFETY: the engine keeps the area alive until after the exit
     // rendezvous, which strictly follows every use of this reference.
     // (The 'static is a local fiction; the reference never escapes
@@ -439,10 +495,7 @@ fn publish(ctx: &mut Ctx, area: &ExchangeArea, parity: usize, state: u8) {
     unsafe {
         let ops_cell = &mut *slot.ops.get();
         let mut old = std::mem::replace(ops_cell, ctx.queued.take());
-        for put in old.puts.drain(..) {
-            ctx.recycle_raw(put.data);
-        }
-        old.gets.clear();
+        old.clear();
         ctx.queued = old;
         *slot.charged.get() = std::mem::take(&mut ctx.charged);
         *slot.regs.get() = ctx.pending_regs.as_slice() as *const [Registration];
@@ -493,39 +546,28 @@ fn serve_own_gets(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     }
 }
 
-/// After B2: apply every put that lands in this worker's block (in
-/// processor-then-issue order, exactly the driver's deterministic
-/// resolution), then install newly registered arrays zero-initialized
-/// and retire unregistered ones.
+/// After B2: apply every put the plan stage routed to this worker's
+/// block (in processor-then-issue order, the deterministic
+/// resolution of concurrent writes), then install newly registered
+/// arrays zero-initialized and retire unregistered ones.
 fn apply_exchange(ctx: &mut Ctx, area: &ExchangeArea, parity: usize) {
     let p = area.p;
     let me = ctx.proc;
-    for src in 0..p {
-        // SAFETY: phase-k ops stay frozen until their owner
-        // republishes at k+2, which the barrier structure forbids
-        // before the leader records k (module doc).
-        let src_ops = unsafe { &*area.slots[parity][src].ops.get() };
-        for op in &src_ops.puts {
-            let len = ctx.store.info(op.array).len;
-            let base = block_range(len, p, me).start;
-            let seg = ctx.store.segment_mut(op.array);
-            let mut off = 0usize;
-            for_each_owner_run(
-                Layout::Block,
-                op.array,
-                len,
-                p,
-                op.start,
-                op.data.len(),
-                |owner, s, l| {
-                    if owner == me {
-                        seg[s - base..s - base + l].copy_from_slice(&op.data[off..off + l]);
-                    }
-                    off += l;
-                },
-            );
-        }
-    }
+    // SAFETY: the leader wrote the routes before B2 and rewrites them
+    // only after B1 of the next phase, which we have not reached.
+    let routes = unsafe { &*area.routes.get() };
+    routes.for_each(me, |src, k| {
+        // Phase-k ops stay frozen until their owner republishes at
+        // k+2, which the barrier structure forbids before the leader
+        // records k (module doc).
+        let ops = area.slots[parity][src].ops();
+        let op = &ops.puts[k];
+        let block = block_range(ctx.store.info(op.array).len, p, me);
+        let lo = op.start.max(block.start);
+        let hi = (op.start + op.len).min(block.end);
+        ctx.store.segment_mut(op.array)[lo - block.start..hi - block.start]
+            .copy_from_slice(&ops.payload(op)[lo - op.start..hi - op.start]);
+    });
     let mut regs = std::mem::take(&mut ctx.pending_regs);
     let first_new = ctx.next_array_id - regs.len() as u32;
     for (k, reg) in regs.drain(..).enumerate() {
@@ -556,7 +598,9 @@ fn leader_plan(area: &ExchangeArea, parity: usize) {
     // SAFETY: worker 0 is the only accessor of the leader state
     // during the run.
     let leader = unsafe { &mut *area.leader.get() };
-    let plan = leader.driver.plan_stage(&area.slots[parity]);
+    // SAFETY: between B1 and B2 no other worker reads the routes.
+    let routes = unsafe { &mut *area.routes.get() };
+    let plan = leader.driver.plan_stage(&area.slots[parity], routes);
     leader.plan = Some(plan);
 }
 
@@ -666,63 +710,65 @@ pub(crate) fn epilogue(ctx: &mut Ctx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
-    fn spin_barrier_synchronizes_and_reuses() {
-        let barrier = SpinBarrier::new(4, false);
-        let counter = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|_| {
-                    for round in 1..=3 {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        assert!(!barrier.wait());
-                        assert_eq!(counter.load(Ordering::SeqCst), 4 * round);
-                        assert!(!barrier.wait());
-                    }
-                });
-            }
-        })
-        .unwrap();
+    fn barrier_synchronizes_and_reuses() {
+        for spin in [true, false] {
+            let barrier = PhaseBarrier::new(4, spin, false);
+            let counter = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        for round in 1..=3 {
+                            counter.fetch_add(1, Ordering::SeqCst);
+                            assert!(!barrier.wait());
+                            assert_eq!(counter.load(Ordering::SeqCst), 4 * round);
+                            assert!(!barrier.wait());
+                        }
+                    });
+                }
+            });
+        }
     }
 
     #[test]
     fn poisoned_barrier_releases_waiters() {
-        let barrier = SpinBarrier::new(2, false);
-        crossbeam::thread::scope(|scope| {
-            let waiter = scope.spawn(|_| barrier.wait());
-            barrier.poison();
-            assert!(waiter.join().unwrap(), "poison must release the waiter");
-        })
-        .unwrap();
-        assert!(barrier.wait(), "poisoned barriers release immediately");
+        for spin in [true, false] {
+            let barrier = PhaseBarrier::new(2, spin, false);
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| barrier.wait());
+                // Give the waiter time to block before poisoning.
+                std::thread::sleep(Duration::from_millis(5));
+                barrier.poison();
+                assert!(waiter.join().unwrap(), "poison must release the waiter");
+            });
+            assert!(barrier.wait(), "poisoned barriers release immediately");
+        }
     }
 
     #[test]
-    fn tracked_barrier_counts_backoff_escalations() {
+    fn tracked_barrier_counts_escalations() {
+        let late_partner = |barrier: &PhaseBarrier| {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(5));
+                    barrier.wait()
+                });
+                barrier.wait();
+            });
+        };
         // Untracked barriers never count, whatever the contention.
-        let quiet = SpinBarrier::new(2, false);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                std::thread::sleep(Duration::from_millis(5));
-                quiet.wait()
-            });
-            quiet.wait();
-        })
-        .unwrap();
+        let quiet = PhaseBarrier::new(2, true, false);
+        late_partner(&quiet);
         assert_eq!(quiet.transitions(), (0, 0));
-        // A tracked waiter stuck for milliseconds escalates past the
-        // 64-spin threshold and records its deepest backoff state.
-        let tracked = SpinBarrier::new(2, true);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                std::thread::sleep(Duration::from_millis(5));
-                tracked.wait()
-            });
-            tracked.wait();
-        })
-        .unwrap();
-        let (yields, sleeps) = tracked.transitions();
-        assert!(yields + sleeps >= 1, "a millisecond wait must escalate: {yields}/{sleeps}");
+        // A spinning waiter stuck for milliseconds runs out of spins
+        // and blocks; a blocking one blocks at once.
+        for spin in [true, false] {
+            let tracked = PhaseBarrier::new(2, spin, true);
+            late_partner(&tracked);
+            let (yields, blocks) = tracked.transitions();
+            assert!(blocks >= 1, "a millisecond wait must block: {yields}/{blocks}");
+        }
     }
 }

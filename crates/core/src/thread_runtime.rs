@@ -8,7 +8,7 @@
 //! the same `CommMatrix` metering), feeds the same observability
 //! recorder, and yields a [`crate::CostReport`]. This is the
 //! workspace's "run on actual parallel hardware" backend (the
-//! paper's NOW/SMP role), used by the criterion benches.
+//! paper's NOW/SMP role).
 //!
 //! Timing units: the [`crate::PhaseTiming`] fields are
 //! **nanoseconds** here (the `Cycles` newtype is reused as a plain
@@ -273,12 +273,6 @@ impl Machine for ThreadMachine {
 
     fn make_timer(&self, rec: Recorder) -> WallTimer {
         WallTimer::with_recorder(rec).with_banks(self.model_cfg.net.banks)
-    }
-
-    /// The native machine runs on the resident SPMD worker pool with
-    /// the lock-free exchange: no driver thread, no per-run spawns.
-    fn uses_worker_pool(&self) -> bool {
-        true
     }
 
     fn make_report(&self, phases: &[PhaseRecord]) -> CostReport {

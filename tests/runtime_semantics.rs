@@ -201,7 +201,93 @@ fn concurrent_puts_to_one_location_apply_in_processor_order() {
             ctx.take(t)[0]
         });
         assert_eq!(run.outputs, vec![13; 4]);
+
+        // Several puts from each processor to one word: issue order
+        // within a processor (last writer: processor 3's second put).
+        let run = m.run(|ctx| {
+            let arr = ctx.register::<u64>("w", 1, Layout::Block);
+            ctx.sync();
+            let me = ctx.proc_id() as u64;
+            ctx.put(&arr, 0, &[me * 10 + 1]);
+            ctx.put(&arr, 0, &[me * 10 + 2]);
+            ctx.sync();
+            let t = ctx.get(&arr, 0, 1);
+            ctx.sync();
+            ctx.take(t)[0]
+        });
+        assert_eq!(run.outputs, vec![32; 4]);
+
+        // Overlapping puts that each span several owners' blocks
+        // (n = 10 over 4 processors: blocks 3,3,2,2): processor k
+        // writes k*100 + i to indices k..k+6, so every word ends with
+        // the highest-numbered processor that covered it (index 9 is
+        // never written and stays zero).
+        let n = 10;
+        let run = m.run(|ctx| {
+            let arr = ctx.register::<u64>("span", n, Layout::Block);
+            ctx.sync();
+            let k = ctx.proc_id();
+            let vals: Vec<u64> = (k..k + 6).map(|i| (k * 100 + i) as u64).collect();
+            ctx.put(&arr, k, &vals);
+            ctx.sync();
+            let t = ctx.get(&arr, 0, n);
+            ctx.sync();
+            ctx.take(t)
+        });
+        let expected: Vec<u64> = (0..n)
+            .map(|i| match i {
+                0..=2 => (i * 100 + i) as u64,
+                3..=8 => (300 + i) as u64,
+                _ => 0,
+            })
+            .collect();
+        for out in &run.outputs {
+            assert_eq!(out, &expected);
+        }
     }
+}
+
+#[test]
+fn concurrent_runs_do_not_serialize() {
+    // Run A's program blocks in its first phase until run B, started
+    // from another thread, has returned. If the engine serialized
+    // runs, B would wait for A while A waits for B; the timeout turns
+    // that deadlock into a failure instead of a hang.
+    use std::sync::mpsc::channel;
+    use std::sync::Mutex;
+    use std::time::Duration;
+    const PATIENCE: Duration = Duration::from_secs(60);
+
+    let (started_tx, started_rx) = channel::<()>();
+    let (b_done_tx, b_done_rx) = channel::<()>();
+    let b_done_rx = Mutex::new(b_done_rx);
+    std::thread::scope(|scope| {
+        let b = scope.spawn(move || {
+            started_rx.recv_timeout(PATIENCE).expect("run A never started");
+            let out = machine(2)
+                .run(|ctx| {
+                    ctx.sync();
+                    ctx.proc_id()
+                })
+                .outputs;
+            b_done_tx.send(()).unwrap();
+            out
+        });
+        let a = machine(2).run(|ctx| {
+            if ctx.proc_id() == 0 {
+                started_tx.send(()).unwrap();
+                b_done_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(PATIENCE)
+                    .expect("run B waited for run A: concurrent runs serialized");
+            }
+            ctx.sync();
+            ctx.proc_id()
+        });
+        assert_eq!(a.outputs, vec![0, 1]);
+        assert_eq!(b.join().unwrap(), vec![0, 1]);
+    });
 }
 
 #[test]

@@ -33,7 +33,10 @@ fn second_run_spawns_no_threads() {
     let m = ThreadMachine::new(8);
     let first = rotate_phases(&m, 3);
     let spawned_after_first = pool::spawned_workers();
-    assert!(spawned_after_first >= 8, "first run must populate the pool");
+    assert_eq!(
+        spawned_after_first, 7,
+        "first run must populate the pool: p - 1 workers, processor 0 runs on the caller"
+    );
     let second = rotate_phases(&m, 3);
     assert_eq!(
         pool::spawned_workers(),
